@@ -113,6 +113,13 @@ pub fn sample_masks(
     if perturbable.is_empty() {
         return Err(crate::ExplainError::EmptyPair);
     }
+    // Per-call, not per-sample: the stratified groups and the shuffle
+    // buffer are reused by every sample.
+    let groups = match opts.strategy {
+        MaskStrategy::AttributeStratified => tokenized.attribute_groups(),
+        _ => Vec::new(),
+    };
+    let mut order: Vec<usize> = Vec::with_capacity(n);
     for _ in 0..opts.samples {
         let mut mask = vec![true; n];
         match opts.strategy {
@@ -128,7 +135,8 @@ pub fn sample_masks(
             MaskStrategy::UniformCount | MaskStrategy::SingleSide(_) => {
                 let max_drop = perturbable.len().max(2) - 1;
                 let n_drop = rng.gen_range(1..=max_drop.max(1));
-                let mut order = perturbable.clone();
+                order.clear();
+                order.extend_from_slice(&perturbable);
                 partial_shuffle(&mut order, n_drop, &mut rng);
                 for &i in order.iter().take(n_drop) {
                     mask[i] = false;
@@ -138,12 +146,13 @@ pub fn sample_masks(
                 // Choose a global drop fraction, then apply it within every
                 // non-empty attribute group independently.
                 let frac: f64 = rng.gen_range(0.1..0.9);
-                for group in tokenized.attribute_groups() {
+                for group in &groups {
                     if group.is_empty() {
                         continue;
                     }
                     let n_drop = ((group.len() as f64 * frac).round() as usize).min(group.len());
-                    let mut order = group.clone();
+                    order.clear();
+                    order.extend_from_slice(group);
                     partial_shuffle(&mut order, n_drop, &mut rng);
                     for &i in order.iter().take(n_drop) {
                         mask[i] = false;
@@ -360,6 +369,70 @@ mod tests {
         let opts2 = PerturbOptions { seed: 999, ..opts };
         let c = sample_masks(&tp, &opts2).unwrap();
         assert_ne!(a, c);
+    }
+
+    /// FNV-1a over every mask bit, row by row; a `false, true` pair
+    /// closes each row so row boundaries count too.
+    fn mask_digest(masks: &[Vec<bool>]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for mask in masks {
+            for &bit in mask.iter().chain([false, true].iter()) {
+                h ^= u64::from(bit);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins the exact masks (and so the RNG draw order) of every
+    /// strategy on a fixed three-attribute pair and seed.
+    #[test]
+    fn mask_digest_is_pinned() {
+        let schema = Arc::new(Schema::new(vec!["title", "brand", "price"]));
+        let pair = EntityPair::new(
+            schema,
+            Record::new(
+                0,
+                vec![
+                    "sonix wh 900 wireless headphones".into(),
+                    "sonix".into(),
+                    "".into(),
+                ],
+            ),
+            Record::new(
+                1,
+                vec!["wh900 headphones black".into(), "".into(), "99 usd".into()],
+            ),
+        )
+        .unwrap();
+        let tp = TokenizedPair::new(pair);
+        let digests: Vec<u64> = [
+            MaskStrategy::UniformCount,
+            MaskStrategy::Bernoulli,
+            MaskStrategy::AttributeStratified,
+            MaskStrategy::SingleSide(Side::Left),
+            MaskStrategy::SingleSide(Side::Right),
+        ]
+        .into_iter()
+        .map(|strategy| {
+            let opts = PerturbOptions {
+                strategy,
+                seed: 0x5eed,
+                ..Default::default()
+            };
+            mask_digest(&sample_masks(&tp, &opts).unwrap())
+        })
+        .collect();
+        assert_eq!(
+            digests,
+            [
+                7_033_386_186_554_235_604,
+                413_305_091_071_805_579,
+                14_388_701_947_282_588_635,
+                14_217_463_467_543_992_885,
+                11_482_318_716_143_815_819,
+            ]
+        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ use em_synth::{Family, GeneratorConfig};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Hit/miss counters of one store (reported by `run_all` and mirrored
@@ -109,7 +109,8 @@ pub(crate) enum Outcome {
 
 /// One cache slot: a per-key init lock plus a write-once cell. Concurrent
 /// misses on the same key serialize on the lock and all but the first see
-/// the freshly written value; errors leave the cell empty for retry.
+/// the freshly written value; errors and panics leave the cell empty for
+/// retry.
 pub(crate) struct Slot<T> {
     init: Mutex<()>,
     cell: OnceLock<Arc<T>>,
@@ -132,7 +133,10 @@ impl<T> Slot<T> {
         if let Some(v) = self.cell.get() {
             return Ok((Arc::clone(v), Outcome::Hit));
         }
-        let _guard = self.init.lock().expect("slot init lock poisoned");
+        // A compute that panicked while holding the lock poisons it, but
+        // the lock guards no data and the cell stayed empty: recover the
+        // guard so the next caller retries instead of panicking forever.
+        let _guard = self.init.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(v) = self.cell.get() {
             return Ok((Arc::clone(v), Outcome::Coalesced));
         }
@@ -156,28 +160,35 @@ impl Counts {
     /// `store/<name>/miss` (coalesced counts as a hit there: whether a
     /// hit blocked on an in-flight miss is schedule-dependent, and the
     /// obs structure must stay identical across `--jobs` values).
-    fn record(&self, name: &str, outcome: Outcome) {
+    fn record(&self, name: &'static str, outcome: Outcome) {
         match outcome {
             Outcome::Hit => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                em_obs::counter!(&format!("store/{name}/hit"), 1);
             }
             Outcome::Coalesced => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
-                em_obs::counter!(&format!("store/{name}/hit"), 1);
             }
             Outcome::Miss => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                em_obs::counter!(&format!("store/{name}/miss"), 1);
             }
+        }
+        if em_obs::is_enabled() {
+            let names = obs_names(name);
+            let counter = match outcome {
+                Outcome::Hit | Outcome::Coalesced => names.hit,
+                Outcome::Miss => names.miss,
+            };
+            em_obs::counter!(counter, 1);
         }
     }
 
-    fn record_evict(&self, name: &str, n: usize) {
+    fn record_evict(&self, name: &'static str, n: usize) {
         if n > 0 {
             self.evictions.fetch_add(n, Ordering::Relaxed);
-            em_obs::counter!(&format!("store/{name}/evict"), n as u64);
+            if em_obs::is_enabled() {
+                em_obs::counter!(obs_names(name).evict, n as u64);
+            }
         }
     }
 
@@ -189,6 +200,37 @@ impl Counts {
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
+}
+
+/// The obs counter and gauge names of one store, `store/<name>/<event>`.
+struct ObsNames {
+    hit: &'static str,
+    miss: &'static str,
+    evict: &'static str,
+    bytes_peak: &'static str,
+}
+
+/// The obs names of the store called `name`, formatted once per process
+/// rather than on every counter bump. Store names are string literals,
+/// so the table holds a handful of entries for the life of the process;
+/// it is consulted only while obs recording is enabled.
+fn obs_names(name: &'static str) -> &'static ObsNames {
+    static TABLE: Mutex<Vec<(&'static str, &'static ObsNames)>> = Mutex::new(Vec::new());
+    // Every update below leaves the table valid, so a poisoned lock is
+    // still safe to use.
+    let mut table = TABLE.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&(_, names)) = table.iter().find(|(n, _)| *n == name) {
+        return names;
+    }
+    let leak = |event: &str| -> &'static str { format!("store/{name}/{event}").leak() };
+    let names: &'static ObsNames = Box::leak(Box::new(ObsNames {
+        hit: leak("hit"),
+        miss: leak("miss"),
+        evict: leak("evict"),
+        bytes_peak: leak("bytes_peak"),
+    }));
+    table.push((name, names));
+    names
 }
 
 /// Clock (second-chance FIFO) bookkeeping of one bounded [`SlotMap`].
@@ -342,10 +384,9 @@ impl<K: Eq + Hash + Clone, V> SlotMap<K, V> {
                         }
                     }
                     self.counts.record_evict(self.name, evicted);
-                    em_obs::gauge!(
-                        &format!("store/{}/bytes_peak", self.name),
-                        clock.peak as u64
-                    );
+                    if em_obs::is_enabled() {
+                        em_obs::gauge!(obs_names(self.name).bytes_peak, clock.peak as u64);
+                    }
                 }
             }
         }
@@ -1022,6 +1063,29 @@ mod tests {
         assert_eq!(map.stats().misses, before + 1);
         assert!(map.peak_bytes() <= 250);
         assert_eq!(map.budget_bytes(), Some(250));
+    }
+
+    #[test]
+    fn panicking_compute_leaves_the_key_retryable() {
+        let slot: Slot<u32> = Slot::new();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = slot.get_or_try_init(|| -> Result<u32, ()> { panic!("compute failed") });
+        }));
+        assert!(panicked.is_err());
+        let (v, outcome) = slot.get_or_try_init(|| Ok::<_, ()>(7)).unwrap();
+        assert_eq!((*v, outcome), (7, Outcome::Miss));
+        let (v, outcome) = slot.get_or_try_init(|| Ok::<_, ()>(8)).unwrap();
+        assert_eq!((*v, outcome), (7, Outcome::Hit));
+
+        // The same through a store: the retry is a plain miss.
+        let map: SlotMap<u32, u32> = SlotMap::new("unit_panic", |_| 4);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = map.get_or_compute(&1, || -> Result<u32, ()> { panic!("compute failed") });
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(*map.get_or_compute(&1, || Ok::<_, ()>(5)).unwrap(), 5);
+        let stats = map.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 1));
     }
 
     #[test]

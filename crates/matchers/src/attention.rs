@@ -17,8 +17,7 @@ use em_linalg::stats::{sigmoid, softmax, softmax_into};
 use em_rngs::rngs::StdRng;
 use em_rngs::seq::SliceRandom;
 use em_rngs::SeedableRng;
-use em_text::TokenArena;
-use std::collections::HashMap;
+use em_text::{IdMap, TokenArena};
 
 /// Options for the attention matcher.
 #[derive(Debug, Clone, Copy)]
@@ -89,7 +88,7 @@ struct AlignScratch {
     /// Arena token id → Euclidean norm of its vector.
     norms: Vec<f64>,
     /// (left cell id, right cell id) → per-attribute feature block.
-    attr_cache: HashMap<(u32, u32), [f64; PER_ATTR]>,
+    attr_cache: IdMap<(u32, u32), [f64; PER_ATTR]>,
     /// Dense token-pair cosine memo, `NAN` = unfilled; row stride
     /// `cos_dim`, disabled (`cos_dim == 0`) once the batch interns more
     /// than [`COS_MEMO_MAX`] tokens. `cosine` is bitwise-symmetric
@@ -117,7 +116,7 @@ impl Default for AlignScratch {
             arena: TokenArena::without_grams(),
             vectors: Vec::new(),
             norms: Vec::new(),
-            attr_cache: HashMap::new(),
+            attr_cache: IdMap::default(),
             cos_cache: Vec::new(),
             cos_dim: 0,
             all_l: Vec::new(),

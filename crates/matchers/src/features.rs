@@ -8,8 +8,7 @@
 //! remaining fully word-sensitive: dropping a word changes the features.
 
 use em_data::{Dataset, EntityPair};
-use em_text::{SparseVec, TfIdf, TokenArena};
-use std::collections::HashMap;
+use em_text::{IdMap, JaroWinklerCache, SparseVec, TfIdf, TokenArena};
 
 /// A fitted feature extractor (holds the TF-IDF vocabulary of the corpus).
 #[derive(Debug, Clone)]
@@ -35,13 +34,11 @@ pub struct ExtractScratch {
     /// `(left cell, right cell)` → the six per-attribute features.
     /// `attribute_features` depends only on the two cell values, not on
     /// the attribute index, so the key omits it.
-    attr_cache: HashMap<(u32, u32), [f64; PER_ATTRIBUTE_FEATURES]>,
-    /// Directional `(token a, token b)` → `jaro_winkler(a, b)`; jaro's
-    /// scan order differs between `(a, b)` and `(b, a)`, so the key is
-    /// deliberately not symmetrised.
-    jw_cache: HashMap<(u32, u32), f64>,
+    attr_cache: IdMap<(u32, u32), [f64; PER_ATTRIBUTE_FEATURES]>,
+    /// Directional token-pair Jaro-Winkler memo behind Monge-Elkan.
+    jw_cache: JaroWinklerCache,
     /// Record view (tuple of interned cell ids) → index into `records`.
-    record_ids: HashMap<Vec<u32>, u32>,
+    record_ids: IdMap<Vec<u32>, u32>,
     records: Vec<RecordFeatures>,
     key_l: Vec<u32>,
     key_r: Vec<u32>,
@@ -329,7 +326,7 @@ fn push_attribute_features(out: &mut Vec<f64>, l: &str, r: &str) {
 /// similarity on the raw cell text).
 fn interned_attribute_features(
     arena: &TokenArena,
-    jw_cache: &mut HashMap<(u32, u32), f64>,
+    jw_cache: &mut JaroWinklerCache,
     l: u32,
     r: u32,
 ) -> [f64; PER_ATTRIBUTE_FEATURES] {
@@ -349,41 +346,12 @@ fn interned_attribute_features(
     }
     [
         em_text::jaccard_sorted_ids(arena.sorted_tokens(l), arena.sorted_tokens(r)),
-        0.5 * (monge_elkan_ids(arena, jw_cache, lt, rt) + monge_elkan_ids(arena, jw_cache, rt, lt)),
+        jw_cache.monge_elkan_sym(arena, lt, rt),
         em_text::jaccard_sorted_ids(arena.grams(l), arena.grams(r)),
         em_text::numeric_or_string_similarity(arena.cell_text(l), arena.cell_text(r)),
         0.0,
         0.0,
     ]
-}
-
-/// [`em_text::monge_elkan`] over arena token-id sequences with a
-/// directional Jaro-Winkler memo. Same accumulation: per `a`-token best
-/// via `f64::max` in `b` sequence order, summed in `a` sequence order.
-/// Both sides are known non-empty here.
-fn monge_elkan_ids(
-    arena: &TokenArena,
-    jw_cache: &mut HashMap<(u32, u32), f64>,
-    a: &[u32],
-    b: &[u32],
-) -> f64 {
-    let mut sum = 0.0;
-    for &ta in a {
-        let mut best = 0.0f64;
-        for &tb in b {
-            let jw = match jw_cache.get(&(ta, tb)) {
-                Some(&v) => v,
-                None => {
-                    let v = em_text::jaro_winkler(arena.token_text(ta), arena.token_text(tb));
-                    jw_cache.insert((ta, tb), v);
-                    v
-                }
-            };
-            best = best.max(jw);
-        }
-        sum += best;
-    }
-    sum / a.len() as f64
 }
 
 #[cfg(test)]

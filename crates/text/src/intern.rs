@@ -25,14 +25,31 @@
 //! char-wise-lowercase core as [`crate::tokenize`], and gram sets by the
 //! same padding rules as [`crate::qgrams`] over the `str::to_lowercase`
 //! of the cell, so kernels over arena slices are bitwise-identical to
-//! their string counterparts.
+//! their string counterparts. A q-gram is keyed by its packed chars
+//! (one `u64`), so interning a window allocates nothing.
 
+use crate::idhash::IdMap;
 use crate::tokenize::{lowercase_run_into, scan_runs};
 use std::collections::HashMap;
 
 /// q-gram width used for interned gram sets; matches the `q = 3` the
 /// matcher feature extractor passes to [`crate::qgram_jaccard`].
 pub const GRAM_Q: usize = 3;
+
+/// Bits per packed gram char: every `char` is at most `0x10_FFFF`.
+const CHAR_BITS: usize = 21;
+/// Filler for the empty leading slots of a gram shorter than
+/// [`GRAM_Q`] (only the `"##"` of an empty cell); no `char` has it.
+const NO_CHAR: u64 = (1 << CHAR_BITS) - 1;
+const _: () = assert!(GRAM_Q * CHAR_BITS <= 64, "a gram must pack into a u64");
+
+/// The content key of a gram: its chars packed [`CHAR_BITS`] apiece,
+/// left-filled with [`NO_CHAR`] up to [`GRAM_Q`] slots.
+fn gram_key(chars: &[char]) -> u64 {
+    std::iter::repeat_n(NO_CHAR, GRAM_Q - chars.len())
+        .chain(chars.iter().map(|&c| u64::from(c)))
+        .fold(0, |key, c| key << CHAR_BITS | c)
+}
 
 /// Per-cell index ranges into the arena's flat storage.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +71,8 @@ pub struct TokenArena {
     build_grams: bool,
     token_ids: HashMap<String, u32>,
     token_texts: Vec<String>,
-    gram_ids: HashMap<String, u32>,
+    /// Packed gram ([`gram_key`]) → gram id, ids in first-seen order.
+    gram_ids: HashMap<u64, u32>,
     cell_ids: HashMap<String, u32>,
     cell_texts: Vec<String>,
     cells: Vec<CellSpans>,
@@ -164,26 +182,31 @@ impl TokenArena {
         sort_dedup_tail(&mut self.sorted, sorted_start);
         let sorted_end = self.sorted.len();
         // Sorted distinct gram ids over the '#'-padded lowercased text —
-        // `str::to_lowercase` on purpose, mirroring the q-gram feature's
-        // `qgram_jaccard(&l.to_lowercase(), ..)` call exactly.
+        // `str::to_lowercase` on purpose (its final-sigma and expanding
+        // mappings included), mirroring the q-gram feature's
+        // `qgram_jaccard(&l.to_lowercase(), ..)` call exactly. ASCII
+        // text lowercases byte-wise to the same chars without a String.
         let gram_start = self.grams.len();
         if self.build_grams {
-            let lower = text.to_lowercase();
-            self.char_scratch.clear();
-            self.char_scratch.push('#');
-            self.char_scratch.extend(lower.chars());
-            self.char_scratch.push('#');
-            if self.char_scratch.len() < GRAM_Q {
-                let gid = Self::intern_gram(
-                    &mut self.gram_ids,
-                    &mut self.tok_scratch,
-                    &self.char_scratch,
-                );
-                self.grams.push(gid);
+            let chars = &mut self.char_scratch;
+            chars.clear();
+            chars.push('#');
+            if text.is_ascii() {
+                chars.extend(text.bytes().map(|b| char::from(b.to_ascii_lowercase())));
             } else {
-                for w in self.char_scratch.windows(GRAM_Q) {
-                    let gid = Self::intern_gram(&mut self.gram_ids, &mut self.tok_scratch, w);
-                    self.grams.push(gid);
+                chars.extend(text.to_lowercase().chars());
+            }
+            chars.push('#');
+            let gram_ids = &mut self.gram_ids;
+            let mut intern_gram = |w: &[char]| {
+                let next = gram_ids.len() as u32;
+                *gram_ids.entry(gram_key(w)).or_insert(next)
+            };
+            if chars.len() < GRAM_Q {
+                self.grams.push(intern_gram(chars));
+            } else {
+                for w in chars.windows(GRAM_Q) {
+                    self.grams.push(intern_gram(w));
                 }
             }
             sort_dedup_tail(&mut self.grams, gram_start);
@@ -198,23 +221,6 @@ impl TokenArena {
             grams: (gram_start as u32, gram_end as u32),
         });
         id
-    }
-
-    fn intern_gram(
-        gram_ids: &mut HashMap<String, u32>,
-        scratch: &mut String,
-        chars: &[char],
-    ) -> u32 {
-        scratch.clear();
-        scratch.extend(chars.iter());
-        match gram_ids.get(scratch.as_str()) {
-            Some(&gid) => gid,
-            None => {
-                let gid = gram_ids.len() as u32;
-                gram_ids.insert(scratch.clone(), gid);
-                gid
-            }
-        }
     }
 
     /// Token ids of a cell in source order (duplicates kept).
@@ -257,6 +263,73 @@ impl TokenArena {
 
     pub fn is_empty(&self) -> bool {
         self.cell_texts.is_empty()
+    }
+
+    /// Gram id → gram text, decoded from the packed keys.
+    #[cfg(test)]
+    fn gram_texts(&self) -> Vec<String> {
+        let mut texts = vec![String::new(); self.gram_ids.len()];
+        for (&key, &gid) in &self.gram_ids {
+            texts[gid as usize] = (0..GRAM_Q)
+                .rev()
+                .map(|slot| (key >> (slot * CHAR_BITS)) & NO_CHAR)
+                .filter(|&c| c != NO_CHAR)
+                .map(|c| char::from_u32(c as u32).expect("packed a valid char"))
+                .collect();
+        }
+        texts
+    }
+}
+
+/// Directional `(token a, token b)` → `jaro_winkler(a, b)` memo over one
+/// arena's token ids, and the Monge-Elkan kernel that reads it — the one
+/// implementation behind every interned Monge-Elkan feature. Jaro's scan
+/// order differs between `(a, b)` and `(b, a)`, so the key is
+/// deliberately not symmetrised. Ids are only meaningful within one
+/// arena lifetime: clear the cache whenever the arena is cleared.
+#[derive(Debug, Default)]
+pub struct JaroWinklerCache {
+    jw: IdMap<(u32, u32), f64>,
+}
+
+impl JaroWinklerCache {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Drop memoized values but keep allocated capacity.
+    pub fn clear(&mut self) {
+        self.jw.clear();
+    }
+
+    /// [`crate::monge_elkan_sym`] over arena token-id sequences,
+    /// bitwise-equal to the string version on the tokens' texts: the
+    /// same Jaro-Winkler values, combined in the same order.
+    pub fn monge_elkan_sym(&mut self, arena: &TokenArena, a: &[u32], b: &[u32]) -> f64 {
+        0.5 * (self.monge_elkan(arena, a, b) + self.monge_elkan(arena, b, a))
+    }
+
+    /// [`crate::monge_elkan`] over id sequences: per `a`-token best via
+    /// `f64::max` in `b` order, summed in `a` order.
+    fn monge_elkan(&mut self, arena: &TokenArena, a: &[u32], b: &[u32]) -> f64 {
+        if a.is_empty() {
+            return if b.is_empty() { 1.0 } else { 0.0 };
+        }
+        if b.is_empty() {
+            return 0.0;
+        }
+        let mut sum = 0.0;
+        for &ta in a {
+            let mut best = 0.0f64;
+            for &tb in b {
+                let jw = *self.jw.entry((ta, tb)).or_insert_with(|| {
+                    crate::jaro_winkler(arena.token_text(ta), arena.token_text(tb))
+                });
+                best = best.max(jw);
+            }
+            sum += best;
+        }
+        sum / a.len() as f64
     }
 }
 
@@ -332,6 +405,50 @@ mod tests {
                 assert!(w[0] < w[1]);
             }
         }
+    }
+
+    #[test]
+    fn gram_sets_match_qgrams_on_non_ascii_text() {
+        let mut arena = TokenArena::new();
+        // 'İ' lowercases to two chars ("i̇"); a word-final 'Σ' becomes
+        // 'ς' under `str::to_lowercase`; the rest are multi-byte, apart
+        // from the mixed-case ASCII cell that takes the byte-wise path.
+        let cells = [
+            "İstanbul",
+            "ÖDÜL İÇİN",
+            "ΟΔΟΣ",
+            "café—crème",
+            "日本語テキスト",
+            "Straße",
+            "",
+            "é",
+            "a\u{0}b",
+            "İ",
+            "Sony WH-1000XM4",
+        ];
+        for text in cells {
+            arena.intern_cell(text);
+        }
+        let texts = arena.gram_texts();
+        for (id, text) in cells.iter().enumerate() {
+            let got: HashSet<&str> = arena
+                .grams(id as u32)
+                .iter()
+                .map(|&g| texts[g as usize].as_str())
+                .collect();
+            let expect_grams = crate::qgrams(&text.to_lowercase(), GRAM_Q);
+            let expect: HashSet<&str> = expect_grams.iter().map(String::as_str).collect();
+            assert_eq!(got, expect, "gram set of {text:?}");
+        }
+    }
+
+    #[test]
+    fn gram_ids_follow_first_seen_order() {
+        let mut arena = TokenArena::new();
+        arena.intern_cell("abc");
+        arena.intern_cell("bcd");
+        let texts = arena.gram_texts();
+        assert_eq!(texts, ["#ab", "abc", "bc#", "#bc", "bcd", "cd#"]);
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //! assert!(jaro_winkler("panasonic", "panasonik") > 0.9);
 //! ```
 
+pub mod idhash;
 pub mod intern;
 pub mod normalize;
 pub mod similarity;
 pub mod tfidf;
 pub mod tokenize;
 
-pub use intern::TokenArena;
+pub use idhash::{IdHasher, IdMap};
+pub use intern::{JaroWinklerCache, TokenArena};
 pub use normalize::{
     canonical_number, canonical_unit, normalize_tokens, segment_letter_digit, tokenize_normalized,
 };
@@ -40,6 +42,16 @@ mod proptests {
         "[a-z0-9]{0,12}"
     }
 
+    /// Strings of arbitrary Unicode scalar values (surrogates skipped),
+    /// up to 150 chars: past the 64- and 128-char band boundaries.
+    fn unicode_text() -> impl Strategy<Value = String> {
+        propcheck::collection::vec(0u32..0x11_0000, 0..150).prop_map(|cps| {
+            cps.into_iter()
+                .filter_map(char::from_u32)
+                .collect::<String>()
+        })
+    }
+
     proptest! {
         #[test]
         fn levenshtein_is_a_metric(a in word(), b in word(), c in word()) {
@@ -49,6 +61,27 @@ mod proptests {
             prop_assert_eq!(levenshtein(&a, &a), 0); // identity
             // triangle inequality
             prop_assert!(levenshtein(&a, &c) <= ab + levenshtein(&b, &c));
+        }
+
+        #[test]
+        fn myers_levenshtein_matches_dp_on_small_alphabets(
+            a in "[abé中 ]{0,140}",
+            b in "[abé中 ]{0,140}",
+        ) {
+            prop_assert_eq!(levenshtein(&a, &b), similarity::levenshtein_dp(&a, &b));
+        }
+
+        #[test]
+        fn myers_levenshtein_matches_dp_on_arbitrary_unicode(
+            a in unicode_text(),
+            b in unicode_text(),
+            shared in "[xyΩ]{0,70}",
+        ) {
+            // A shared prefix and suffix give long diagonal runs across
+            // band boundaries, which random code points alone never do.
+            let (a, b) = (format!("{shared}{a}{shared}"), format!("{shared}{b}"));
+            prop_assert_eq!(levenshtein(&a, &b), similarity::levenshtein_dp(&a, &b));
+            prop_assert_eq!(levenshtein(&b, &a), similarity::levenshtein_dp(&b, &a));
         }
 
         #[test]
@@ -134,6 +167,40 @@ mod proptests {
             let m = TfIdf::fit(docs.iter().map(|d| d.as_slice()));
             let c = m.cosine(&a, &b);
             prop_assert!((-1e-9..=1.0 + 1e-9).contains(&c));
+        }
+    }
+
+    /// Band-boundary lengths (63/64/65, 128/129, >128), empty and equal
+    /// strings, and non-ASCII text, each against the DP oracle.
+    #[test]
+    fn myers_levenshtein_matches_dp_at_band_boundaries() {
+        let base: String = "the quick brown fox jumps over the lazy dog; ÆØÅ 中文 𝘼 "
+            .chars()
+            .cycle()
+            .take(300)
+            .collect();
+        for len in [0, 1, 2, 63, 64, 65, 127, 128, 129, 200, 300] {
+            let a: String = base.chars().take(len).collect();
+            let mut variants = vec![
+                String::new(),
+                a.clone(),
+                a.chars().rev().collect::<String>(),
+                a.replace('o', "0"),
+                a.replace(' ', ""),
+                format!("é{a}"),
+                a.chars().skip(1).collect(),
+            ];
+            variants.push(base.chars().skip(7).take(len).collect());
+            for b in &variants {
+                assert_eq!(
+                    levenshtein(&a, b),
+                    similarity::levenshtein_dp(&a, b),
+                    "len {len}: {a:?} vs {b:?}"
+                );
+                assert_eq!(levenshtein(b, &a), similarity::levenshtein_dp(b, &a));
+            }
+            assert_eq!(levenshtein(&a, &a), 0);
+            assert_eq!(levenshtein(&a, ""), len);
         }
     }
 

@@ -4,36 +4,95 @@
 use std::collections::HashSet;
 
 /// Levenshtein edit distance (unit costs) between two strings, by chars.
+///
+/// Bit-parallel (Myers 1999, J. ACM 46(3)) over `char`s: the shorter
+/// string is the pattern, one 64-bit word per band of 64 pattern chars
+/// (Hyyrö's blocked form), and the text is scanned once per band with
+/// each column's horizontal delta carried from the band above. Exact:
+/// equal to the unit-cost DP on every input (the property suite pins
+/// it against a DP oracle).
 pub fn levenshtein(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    if a.is_empty() {
-        return b.len();
+    levenshtein_counted(a, a.chars().count(), b, b.chars().count())
+}
+
+/// [`levenshtein`] given `la` and `lb`, the char counts of `a` and `b`.
+fn levenshtein_counted(a: &str, la: usize, b: &str, lb: usize) -> usize {
+    let (pattern, m, text, n) = if la <= lb {
+        (a, la, b, lb)
+    } else {
+        (b, lb, a, la)
+    };
+    if m == 0 {
+        return n;
     }
-    if b.is_empty() {
-        return a.len();
-    }
-    // Single-row DP.
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0usize; b.len() + 1];
-    for (i, ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, cb) in b.iter().enumerate() {
-            let cost = if ca == cb { 0 } else { 1 };
-            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
+    let bands = m.div_ceil(64);
+    // Horizontal delta `D[64·band][j] − D[64·band][j−1]` leaving the
+    // bottom of each band, per text column; only needed between bands.
+    let mut carry: Vec<i8> = if bands > 1 { vec![1; n] } else { Vec::new() };
+    let mut pattern_chars = pattern.chars();
+    let mut ascii = [0u64; 128];
+    let mut other: Vec<(char, u64)> = Vec::new();
+    let mut dist = m;
+    for band in 0..bands {
+        // Match masks of this band's pattern chars: bit i set where
+        // pattern char 64·band + i equals the text char.
+        ascii.fill(0);
+        other.clear();
+        let rows = (m - 64 * band).min(64);
+        for (i, c) in pattern_chars.by_ref().take(rows).enumerate() {
+            if (c as u32) < 128 {
+                ascii[c as usize] |= 1 << i;
+            } else if let Some(e) = other.iter_mut().find(|e| e.0 == c) {
+                e.1 |= 1 << i;
+            } else {
+                other.push((c, 1 << i));
+            }
         }
-        std::mem::swap(&mut prev, &mut cur);
+        let last = band + 1 == bands;
+        let bottom = 1u64 << (rows - 1);
+        // Column 0: D[i][0] = i, so every vertical delta is +1.
+        let (mut pv, mut mv) = (!0u64, 0u64);
+        for (j, c) in text.chars().enumerate() {
+            let eq = if (c as u32) < 128 {
+                ascii[c as usize]
+            } else {
+                other.iter().find(|e| e.0 == c).map_or(0, |e| e.1)
+            };
+            // Row 0 of the band: D[0][j] = j at the top, else the
+            // carry of the band above.
+            let h_in = if band == 0 { 1 } else { carry[j] };
+            let xv = eq | mv;
+            let eq = if h_in < 0 { eq | 1 } else { eq };
+            let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+            let mut ph = mv | !(xh | pv);
+            let mut mh = pv & xh;
+            if last {
+                dist = dist + usize::from(ph & bottom != 0) - usize::from(mh & bottom != 0);
+            } else {
+                carry[j] = i8::from(ph & bottom != 0) - i8::from(mh & bottom != 0);
+            }
+            ph <<= 1;
+            mh <<= 1;
+            if h_in < 0 {
+                mh |= 1;
+            } else if h_in > 0 {
+                ph |= 1;
+            }
+            pv = mh | !(xv | ph);
+            mv = ph & xv;
+        }
     }
-    prev[b.len()]
+    dist
 }
 
 /// Normalised Levenshtein similarity in [0,1].
 pub fn levenshtein_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
+    let (la, lb) = (a.chars().count(), b.chars().count());
+    let max_len = la.max(lb);
     if max_len == 0 {
         return 1.0;
     }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
+    1.0 - levenshtein_counted(a, la, b, lb) as f64 / max_len as f64
 }
 
 /// Jaro similarity in [0,1].
@@ -259,6 +318,31 @@ pub fn numeric_or_string_similarity(a: &str, b: &str) -> f64 {
         }
         _ => levenshtein_similarity(a, b),
     }
+}
+
+/// The unit-cost single-row DP that [`levenshtein`] replaces; kept as
+/// the oracle the bit-parallel version is tested against.
+#[cfg(test)]
+pub(crate) fn levenshtein_dp(a: &str, b: &str) -> usize {
+    let a: Vec<char> = a.chars().collect();
+    let b: Vec<char> = b.chars().collect();
+    if a.is_empty() {
+        return b.len();
+    }
+    if b.is_empty() {
+        return a.len();
+    }
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    let mut cur = vec![0usize; b.len() + 1];
+    for (i, ca) in a.iter().enumerate() {
+        cur[0] = i + 1;
+        for (j, cb) in b.iter().enumerate() {
+            let cost = if ca == cb { 0 } else { 1 };
+            cur[j + 1] = (prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1);
+        }
+        std::mem::swap(&mut prev, &mut cur);
+    }
+    prev[b.len()]
 }
 
 #[cfg(test)]

@@ -19,6 +19,9 @@ cargo build --release --locked --offline
 echo "==> cargo test -q (locked, offline)"
 cargo test -q --locked --offline
 
+echo "==> benchmark unit tests (perfbench, its own workspace)"
+cargo test -q --locked --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> kernel dispatch equivalence (EM_KERNEL=scalar vs default)"
 # The propcheck suites pin scalar ≡ AVX2 bitwise through the per-backend
 # entry points; the two legs below additionally exercise the EM_KERNEL

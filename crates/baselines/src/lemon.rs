@@ -9,7 +9,7 @@
 //! per-token counterfactual injection probe.
 
 use crew_core::{
-    fit_word_surrogate, query_masks, query_pairs, words_of, Explainer, PerturbationSet,
+    fit_word_surrogate, query_masks_checked, query_pairs, words_of, Explainer, PerturbationSet,
     SurrogateOptions, WordExplanation,
 };
 use em_data::{EntityPair, Side, TokenizedPair};
@@ -82,7 +82,7 @@ impl Lemon {
             }
             masks.push(mask);
         }
-        let responses = query_masks(tokenized, &masks, matcher, self.options.threads);
+        let responses = query_masks_checked(tokenized, &masks, matcher, self.options.threads)?;
         let sub_masks: Vec<Vec<bool>> = masks
             .iter()
             .map(|mask| side_indices.iter().map(|&i| mask[i]).collect())
@@ -183,9 +183,15 @@ impl Explainer for Lemon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{magic_matcher, magic_pair};
+    use crate::testutil::{assert_nan_is_typed_error, magic_matcher, magic_pair, NanMatcher};
     use em_data::{Record, Schema};
     use std::sync::Arc;
+
+    #[test]
+    fn nan_matcher_is_a_typed_error() {
+        let lemon = Lemon::default();
+        assert_nan_is_typed_error(lemon.explain(&NanMatcher, &magic_pair()));
+    }
 
     #[test]
     fn lemon_finds_planted_evidence() {

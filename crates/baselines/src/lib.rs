@@ -63,6 +63,34 @@ pub(crate) mod testutil {
         MagicMatcher
     }
 
+    /// Answers NaN once the left record loses a word, 0.5 otherwise.
+    pub struct NanMatcher;
+
+    impl Matcher for NanMatcher {
+        fn name(&self) -> &str {
+            "nan"
+        }
+        fn predict_proba(&self, pair: &EntityPair) -> f64 {
+            if em_text::token_count(&pair.left().full_text()) < 3 {
+                f64::NAN
+            } else {
+                0.5
+            }
+        }
+    }
+
+    /// Assert that an explainer surfaces [`NanMatcher`]'s NaN as the
+    /// typed error.
+    pub fn assert_nan_is_typed_error<T: std::fmt::Debug>(
+        result: Result<T, crew_core::ExplainError>,
+    ) {
+        let err = result.unwrap_err();
+        assert!(
+            matches!(err, crew_core::ExplainError::NonFiniteModelOutput { .. }),
+            "{err:?}"
+        );
+    }
+
     /// One-attribute pair with "magic" on both sides plus filler:
     /// words are [magic alpha beta | magic gamma delta].
     pub fn magic_pair() -> EntityPair {

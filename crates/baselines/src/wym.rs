@@ -11,8 +11,8 @@
 //! emit word weights by distributing each unit's weight to its members.
 
 use crew_core::{
-    fit_word_surrogate, query_masks, words_of, Explainer, PerturbationSet, SurrogateOptions,
-    WordExplanation,
+    fit_word_surrogate, query_masks_checked, words_of, Explainer, PerturbationSet,
+    SurrogateOptions, WordExplanation,
 };
 use em_data::{EntityPair, Side, TokenizedPair};
 use em_matchers::Matcher;
@@ -181,7 +181,8 @@ impl Explainer for Wym {
                 word_mask
             })
             .collect();
-        let responses = query_masks(&tokenized, &word_masks, matcher, self.options.threads);
+        let responses =
+            query_masks_checked(&tokenized, &word_masks, matcher, self.options.threads)?;
         let kept_fraction: Vec<f64> = unit_masks
             .iter()
             .map(|um| um.iter().filter(|&&b| b).count() as f64 / m as f64)
@@ -220,9 +221,30 @@ impl Explainer for Wym {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{magic_matcher, magic_pair};
+    use crate::testutil::{assert_nan_is_typed_error, magic_matcher, magic_pair, NanMatcher};
     use em_data::{Record, Schema};
     use std::sync::Arc;
+
+    #[test]
+    fn nan_matcher_is_a_typed_error() {
+        let wym = Wym::default();
+        assert_nan_is_typed_error(wym.explain(&NanMatcher, &magic_pair()));
+    }
+
+    #[test]
+    fn out_of_range_responses_are_clamped() {
+        struct TooHigh;
+        impl Matcher for TooHigh {
+            fn name(&self) -> &str {
+                "too-high"
+            }
+            fn predict_proba(&self, _: &EntityPair) -> f64 {
+                1.7
+            }
+        }
+        let expl = Wym::default().explain(&TooHigh, &magic_pair()).unwrap();
+        assert_eq!(expl.base_score, 1.0);
+    }
 
     #[test]
     fn decision_units_pair_identical_cross_record_words() {

@@ -490,6 +490,30 @@ mod tests {
         )
     }
 
+    /// NaN once the left title loses a word; finite on the full pair.
+    struct NanMatcher;
+    impl Matcher for NanMatcher {
+        fn name(&self) -> &str {
+            "nan"
+        }
+        fn predict_proba(&self, pair: &EntityPair) -> f64 {
+            if em_text::token_count(pair.left().value(0)) < 4 {
+                f64::NAN
+            } else {
+                0.5
+            }
+        }
+    }
+
+    #[test]
+    fn nan_matcher_is_a_typed_error() {
+        let err = crew().explain_clusters(&NanMatcher, &pair()).unwrap_err();
+        assert!(
+            matches!(err, crate::ExplainError::NonFiniteModelOutput { .. }),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn produces_a_partition_of_all_words() {
         let c = crew();

@@ -56,7 +56,8 @@ pub use knowledge::{
     KnowledgeWeights,
 };
 pub use perturb::{
-    perturb, query_masks, query_pairs, sample_masks, MaskStrategy, PerturbOptions, PerturbationSet,
+    perturb, query_masks, query_masks_checked, query_pairs, sample_masks, MaskStrategy,
+    PerturbOptions, PerturbationSet,
 };
 pub use report::{cluster_explanation_to_json, word_explanation_to_json};
 pub use surrogate::{

@@ -4,15 +4,17 @@
 //! so score differences reflect algorithms rather than plumbing.
 //!
 //! Query execution is batched and cache-aware: identical masks are
-//! queried once (a dedup memo), pairs are rebuilt through a reusable
-//! [`MaskedPairBuffer`] instead of per-sample allocation, blocks of
-//! rebuilt pairs go through [`Matcher::predict_proba_batch`] so
-//! vectorisable models amortise feature extraction, and blocks are
+//! queried once (a dedup memo), and blocks of unique masks go to
+//! [`Matcher::predict_proba_masked`], which the built-in matchers answer
+//! from each cell's kept-word set without rebuilding pairs (matchers without an
+//! override rebuild the pairs through a reusable
+//! [`em_data::MaskedPairBuffer`] and batch-predict them). Blocks are
 //! distributed over the shared `em-pool` worker pool. Each response
 //! depends only on its own mask, so results are bitwise-identical at any
-//! thread count, block size, and on the batched vs scalar matcher paths.
+//! thread count, block size, and on the masked, batched and scalar
+//! matcher paths.
 
-use em_data::{EntityPair, MaskedPairBuffer, Side, TokenizedPair};
+use em_data::{EntityPair, Side, TokenizedPair};
 use em_matchers::Matcher;
 use em_rngs::rngs::StdRng;
 use em_rngs::{Rng, SeedableRng};
@@ -178,7 +180,7 @@ fn partial_shuffle(items: &mut [usize], k: usize, rng: &mut StdRng) {
     }
 }
 
-/// Number of pairs handed to one [`Matcher::predict_proba_batch`] call
+/// Number of pairs or masks handed to one matcher batch call
 /// when blocks are fanned out over pool workers. Large enough to
 /// amortise the per-batch feature caches, small enough that blocks
 /// load-balance across workers. On the inline path the whole query is a
@@ -213,10 +215,11 @@ fn run_blocked(total: usize, threads: usize, run_block: &(dyn Fn(usize, usize) +
 ///
 /// Identical masks are queried once and their response is shared (drop
 /// sampling on short pairs repeats masks often). Unique masks are
-/// processed in blocks: each block rebuilds its pairs through one
-/// [`MaskedPairBuffer`] and issues a single batched prediction; blocks
-/// run on the shared worker pool when `threads > 1`. Responses land in
-/// per-mask slots, so the output is independent of scheduling.
+/// processed in blocks, one [`Matcher::predict_proba_masked`] call per
+/// block; blocks run on the shared worker pool when `threads > 1`.
+/// Responses land in per-mask slots, so the output is independent of
+/// scheduling. The responses are the matcher's raw outputs;
+/// [`query_masks_checked`] validates them.
 pub fn query_masks(
     tokenized: &TokenizedPair,
     masks: &[Vec<bool>],
@@ -243,14 +246,11 @@ pub fn query_masks(
 
     // f64 bit-patterns behind atomics: blocks write disjoint slots, and
     // the atomic store keeps the fan-out free of unsafe aliasing.
+    let unique_masks: Vec<&[bool]> = unique.iter().map(|&i| masks[i].as_slice()).collect();
     let slots: Vec<AtomicU64> = (0..unique.len()).map(|_| AtomicU64::new(0)).collect();
     run_blocked(unique.len(), threads, &|start, end| {
-        let mut buffer = MaskedPairBuffer::new(tokenized);
-        let pairs: Vec<EntityPair> = unique[start..end]
-            .iter()
-            .map(|&i| buffer.apply(&masks[i]).clone())
-            .collect();
-        for (slot, p) in (start..end).zip(matcher.predict_proba_batch(&pairs)) {
+        let probs = matcher.predict_proba_masked(tokenized, &unique_masks[start..end]);
+        for (slot, p) in (start..end).zip(probs) {
             slots[slot].store(p.to_bits(), Ordering::SeqCst);
         }
     });
@@ -281,22 +281,20 @@ pub fn query_pairs(pairs: &[EntityPair], matcher: &dyn Matcher, threads: usize) 
         .collect()
 }
 
-/// Sample masks and query the matcher in one step.
+/// [`query_masks`] with its responses validated — the query every
+/// mask-based explainer (CREW, WYM, LEMON) makes.
 ///
 /// Guards against misbehaving models: a non-finite probability from the
 /// matcher is reported as [`crate::ExplainError::NonFiniteModelOutput`]
-/// instead of silently corrupting the surrogate fit; out-of-range finite
-/// values are clamped into `[0, 1]`.
-pub fn perturb(
+/// (naming the first such mask) instead of silently corrupting the
+/// surrogate fit; out-of-range finite values are clamped into `[0, 1]`.
+pub fn query_masks_checked(
     tokenized: &TokenizedPair,
+    masks: &[Vec<bool>],
     matcher: &dyn Matcher,
-    opts: &PerturbOptions,
-) -> Result<PerturbationSet, crate::ExplainError> {
-    let masks = {
-        let _span = em_obs::span!("perturb/sample");
-        sample_masks(tokenized, opts)?
-    };
-    let mut responses = query_masks(tokenized, &masks, matcher, opts.threads);
+    threads: usize,
+) -> Result<Vec<f64>, crate::ExplainError> {
+    let mut responses = query_masks(tokenized, masks, matcher, threads);
     for (i, r) in responses.iter_mut().enumerate() {
         if !r.is_finite() {
             return Err(crate::ExplainError::NonFiniteModelOutput {
@@ -306,6 +304,21 @@ pub fn perturb(
         }
         *r = r.clamp(0.0, 1.0);
     }
+    Ok(responses)
+}
+
+/// Sample masks and query the matcher in one step, with the responses
+/// validated by [`query_masks_checked`].
+pub fn perturb(
+    tokenized: &TokenizedPair,
+    matcher: &dyn Matcher,
+    opts: &PerturbOptions,
+) -> Result<PerturbationSet, crate::ExplainError> {
+    let masks = {
+        let _span = em_obs::span!("perturb/sample");
+        sample_masks(tokenized, opts)?
+    };
+    let responses = query_masks_checked(tokenized, &masks, matcher, opts.threads)?;
     let n = tokenized.len() as f64;
     let kept_fraction = masks
         .iter()

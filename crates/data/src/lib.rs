@@ -21,6 +21,7 @@
 pub mod blocking;
 pub mod csv;
 pub mod dataset;
+pub mod masked;
 pub mod schema;
 pub mod tokens;
 
@@ -30,6 +31,7 @@ pub use csv::{
     record_table_from_csv, write_csv, RecordTable,
 };
 pub use dataset::{Dataset, DatasetStats, Label, LabeledPair, Split};
+pub use masked::{intern_pair_cells, MaskCellResolver};
 pub use schema::{EntityPair, Record, Schema, Side};
 pub use tokens::{MaskedPairBuffer, TokenizedPair, WordUnit};
 

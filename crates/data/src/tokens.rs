@@ -98,6 +98,28 @@ impl TokenizedPair {
             .collect()
     }
 
+    /// `(side, attribute, word-index range)` of every cell: the left
+    /// record's cells in attribute order, then the right record's. The
+    /// ranges are contiguous because words are emitted in (side,
+    /// attribute, position) order; an empty cell has an empty range.
+    pub fn cells(&self) -> Vec<(Side, usize, std::ops::Range<usize>)> {
+        let n_attributes = self.pair.schema().len();
+        let mut cells = Vec::with_capacity(2 * n_attributes);
+        let mut start = 0;
+        for side in [Side::Left, Side::Right] {
+            for attr in 0..n_attributes {
+                let end = start
+                    + self.words[start..]
+                        .iter()
+                        .take_while(|w| w.side == side && w.attribute == attr)
+                        .count();
+                cells.push((side, attr, start..end));
+                start = end;
+            }
+        }
+        cells
+    }
+
     /// Rebuild an [`EntityPair`] keeping only the words whose index is
     /// `true` in `mask`. Attribute values are reconstructed by joining the
     /// surviving words with single spaces; non-masked attributes keep
@@ -185,9 +207,7 @@ pub struct MaskedPairBuffer<'a> {
     tokenized: &'a TokenizedPair,
     /// Working pair, always holding the most recently applied mask.
     pair: EntityPair,
-    /// `(side, attribute, word-index range)` per cell; ranges are
-    /// contiguous because words are emitted in (side, attribute,
-    /// position) order.
+    /// [`TokenizedPair::cells`] of the pair.
     cells: Vec<(Side, usize, std::ops::Range<usize>)>,
     /// The full normalised value of each cell (all words kept).
     full_values: Vec<String>,
@@ -198,23 +218,8 @@ pub struct MaskedPairBuffer<'a> {
 
 impl<'a> MaskedPairBuffer<'a> {
     pub fn new(tokenized: &'a TokenizedPair) -> Self {
-        let schema = tokenized.pair().schema_arc();
-        let mut cells = Vec::with_capacity(schema.len() * 2);
+        let cells = tokenized.cells();
         let words = tokenized.words();
-        for side in [Side::Left, Side::Right] {
-            for attr in 0..schema.len() {
-                let start = words
-                    .iter()
-                    .position(|w| w.side == side && w.attribute == attr)
-                    .unwrap_or(words.len());
-                let end = start
-                    + words[start..]
-                        .iter()
-                        .take_while(|w| w.side == side && w.attribute == attr)
-                        .count();
-                cells.push((side, attr, start..end));
-            }
-        }
         let full_values: Vec<String> = cells
             .iter()
             .map(|(_, _, range)| {
@@ -393,6 +398,22 @@ mod tests {
         let rebuilt2 =
             tp.apply_mask_with_injections(&mask, &[(Side::Left, 0, "extra".to_string())]);
         assert_eq!(rebuilt2.left().value(0), "sony bravia tv extra");
+    }
+
+    #[test]
+    fn cells_partition_the_words_in_order() {
+        let tp = TokenizedPair::new(pair());
+        let cells = tp.cells();
+        let want = [
+            (Side::Left, 0, 0..3),
+            (Side::Left, 1, 3..4),
+            (Side::Right, 0, 4..7),
+            (Side::Right, 1, 7..7),
+        ];
+        assert_eq!(cells, want);
+        for (side, attr, range) in cells {
+            assert_eq!(tp.cell_indices(side, attr), range.collect::<Vec<_>>());
+        }
     }
 
     #[test]

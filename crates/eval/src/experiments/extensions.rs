@@ -339,6 +339,16 @@ impl em_matchers::Matcher for ArcMatcher {
     fn predict_proba(&self, pair: &em_data::EntityPair) -> f64 {
         self.0.predict_proba(pair)
     }
+    fn predict_proba_batch(&self, pairs: &[em_data::EntityPair]) -> Vec<f64> {
+        self.0.predict_proba_batch(pairs)
+    }
+    fn predict_proba_masked(
+        &self,
+        tokenized: &em_data::TokenizedPair,
+        masks: &[&[bool]],
+    ) -> Vec<f64> {
+        self.0.predict_proba_masked(tokenized, masks)
+    }
     fn threshold(&self) -> f64 {
         self.0.threshold()
     }
@@ -348,6 +358,64 @@ impl em_matchers::Matcher for ArcMatcher {
 mod tests {
     use super::*;
     use crate::experiments::ExperimentConfig;
+    use em_data::{EntityPair, Record, Schema};
+    use em_matchers::Matcher;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Counts scalar and batch calls; scores by left-title length.
+    #[derive(Default)]
+    struct CallCounter {
+        scalar: AtomicUsize,
+        batches: AtomicUsize,
+    }
+
+    impl Matcher for CallCounter {
+        fn name(&self) -> &str {
+            "call-counter"
+        }
+        fn predict_proba(&self, pair: &EntityPair) -> f64 {
+            self.scalar.fetch_add(1, Ordering::SeqCst);
+            pair.left().value(0).len() as f64 / 32.0
+        }
+        fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
+            self.batches.fetch_add(1, Ordering::SeqCst);
+            pairs
+                .iter()
+                .map(|p| p.left().value(0).len() as f64 / 32.0)
+                .collect()
+        }
+    }
+
+    /// The adapter forwards both batch methods: one inline perturbation
+    /// query reaches the inner matcher as one batch call, no scalar calls.
+    #[test]
+    fn arc_matcher_forwards_batch_calls() {
+        let inner = Arc::new(CallCounter::default());
+        let adapter = ArcMatcher(Arc::clone(&inner) as Arc<dyn Matcher>);
+        let schema = Arc::new(Schema::new(vec!["title"]));
+        let pair = EntityPair::new(
+            schema,
+            Record::new(0, vec!["one two three four".into()]),
+            Record::new(1, vec!["one two".into()]),
+        )
+        .unwrap();
+        let tp = TokenizedPair::new(pair);
+        let opts = crew_core::PerturbOptions {
+            samples: 40,
+            ..Default::default()
+        };
+        let masks = crew_core::sample_masks(&tp, &opts).unwrap();
+        let got = crew_core::query_masks(&tp, &masks, &adapter, 1);
+        assert_eq!(inner.batches.load(Ordering::SeqCst), 1);
+        assert_eq!(inner.scalar.load(Ordering::SeqCst), 0);
+        for (mask, p) in masks.iter().zip(&got) {
+            let want = tp.apply_mask(mask).left().value(0).len() as f64 / 32.0;
+            assert_eq!(p.to_bits(), want.to_bits());
+        }
+        adapter.predict_proba_batch(&[tp.pair().clone()]);
+        assert_eq!(inner.batches.load(Ordering::SeqCst), 2);
+        assert_eq!(inner.scalar.load(Ordering::SeqCst), 0);
+    }
 
     #[test]
     fn e1_reports_counterfactual_stats() {

@@ -11,7 +11,7 @@
 
 use crate::matcher::{best_f1_threshold, Matcher};
 use crate::scratch::ScratchPool;
-use em_data::{Dataset, EntityPair, Side};
+use em_data::{intern_pair_cells, Dataset, EntityPair, MaskCellResolver, Side, TokenizedPair};
 use em_embed::{EmbeddingOptions, WordEmbeddings};
 use em_linalg::stats::{sigmoid, softmax, softmax_into};
 use em_rngs::rngs::StdRng;
@@ -96,6 +96,11 @@ struct AlignScratch {
     /// triangles and L→R / R→L directions share hits.
     cos_cache: Vec<f64>,
     cos_dim: usize,
+    /// Mask → cell ids for the masked batch path.
+    resolver: MaskCellResolver,
+    /// Interned cells of the pair being scored, by attribute.
+    key_l: Vec<u32>,
+    key_r: Vec<u32>,
     all_l: Vec<u32>,
     all_r: Vec<u32>,
     feats: Vec<f64>,
@@ -119,6 +124,9 @@ impl Default for AlignScratch {
             attr_cache: IdMap::default(),
             cos_cache: Vec::new(),
             cos_dim: 0,
+            resolver: MaskCellResolver::new(),
+            key_l: Vec::new(),
+            key_r: Vec::new(),
             all_l: Vec::new(),
             all_r: Vec::new(),
             feats: Vec::new(),
@@ -167,24 +175,23 @@ impl AlignScratch {
     }
 }
 
-/// [`alignment_features`] through the interned caches: fills
-/// `s.feats` with the same values (bitwise) the string path produces,
-/// reusing `s`'s token vectors, norms and per-attribute blocks across
-/// calls. Callers own the cache lifecycle (`s.clear()` per batch).
+/// [`alignment_features`] through the interned caches for the pair whose
+/// cells are `s.key_l` / `s.key_r` (the first `n_attributes` are read): fills `s.feats` with the same values
+/// (bitwise) the string path produces, reusing `s`'s token vectors,
+/// norms and per-attribute blocks across calls. Callers own the cache
+/// lifecycle (`s.clear()` per batch).
 fn alignment_features_cached(
     emb: &WordEmbeddings,
     temperature: f64,
     n_attributes: usize,
-    pair: &EntityPair,
     s: &mut AlignScratch,
 ) {
     s.feats.clear();
     s.all_l.clear();
     s.all_r.clear();
+    s.ensure_vectors(emb);
     for attr in 0..n_attributes {
-        let lc = s.arena.intern_cell(pair.record(Side::Left).value(attr));
-        let rc = s.arena.intern_cell(pair.record(Side::Right).value(attr));
-        s.ensure_vectors(emb);
+        let (lc, rc) = (s.key_l[attr], s.key_r[attr]);
         let block = if let Some(&b) = s.attr_cache.get(&(lc, rc)) {
             b
         } else {
@@ -350,13 +357,9 @@ impl AttentionMatcher {
                 .examples()
                 .iter()
                 .map(|ex| {
-                    alignment_features_cached(
-                        &embeddings,
-                        opts.temperature,
-                        n_attributes,
-                        &ex.pair,
-                        &mut scratch,
-                    );
+                    let s = &mut scratch;
+                    intern_pair_cells(&mut s.arena, &ex.pair, &mut s.key_l, &mut s.key_r);
+                    alignment_features_cached(&embeddings, opts.temperature, n_attributes, s);
                     scratch.feats.clone()
                 })
                 .collect();
@@ -427,16 +430,17 @@ impl AttentionMatcher {
         s.clear();
         let mut out = Vec::with_capacity(pairs.len());
         for pair in pairs {
-            alignment_features_cached(
-                &self.embeddings,
-                self.temperature,
-                self.n_attributes,
-                pair,
-                s,
-            );
-            out.push(sigmoid(em_linalg::dot(&self.weights, &s.feats) + self.bias));
+            intern_pair_cells(&mut s.arena, pair, &mut s.key_l, &mut s.key_r);
+            out.push(self.score_cells(s));
         }
         out
+    }
+
+    /// The probability of the pair whose interned cells are `s.key_l` /
+    /// `s.key_r`.
+    fn score_cells(&self, s: &mut AlignScratch) -> f64 {
+        alignment_features_cached(&self.embeddings, self.temperature, self.n_attributes, s);
+        sigmoid(em_linalg::dot(&self.weights, &s.feats) + self.bias)
     }
 
     /// The trained word embeddings (shared with CREW's semantic knowledge
@@ -546,6 +550,25 @@ impl Matcher for AttentionMatcher {
         out
     }
 
+    /// Cell ids straight from the masks ([`MaskCellResolver`]), then the
+    /// same cached alignment features and head as
+    /// [`Matcher::predict_proba_batch`].
+    fn predict_proba_masked(&self, tokenized: &TokenizedPair, masks: &[&[bool]]) -> Vec<f64> {
+        let mut s = self.scratch.take();
+        s.clear();
+        s.resolver.begin(tokenized);
+        let out = masks
+            .iter()
+            .map(|mask| {
+                s.resolver
+                    .resolve(tokenized, mask, &mut s.arena, &mut s.key_l, &mut s.key_r);
+                self.score_cells(&mut s)
+            })
+            .collect();
+        self.scratch.put(s);
+        out
+    }
+
     fn threshold(&self) -> f64 {
         self.threshold
     }
@@ -635,7 +658,8 @@ mod tests {
         let mut s = AlignScratch::default();
         for ex in test.examples().iter().take(12) {
             let want = alignment_features(&emb, 6.0, n_attributes, &ex.pair);
-            alignment_features_cached(&emb, 6.0, n_attributes, &ex.pair, &mut s);
+            intern_pair_cells(&mut s.arena, &ex.pair, &mut s.key_l, &mut s.key_r);
+            alignment_features_cached(&emb, 6.0, n_attributes, &mut s);
             assert_eq!(want.len(), s.feats.len());
             for (a, b) in want.iter().zip(&s.feats) {
                 assert_eq!(a.to_bits(), b.to_bits());

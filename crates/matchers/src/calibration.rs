@@ -4,7 +4,7 @@
 //! probabilities — a miscalibrated, saturated model compresses the signal.
 
 use crate::matcher::{best_f1_threshold, Matcher};
-use em_data::{Dataset, EntityPair};
+use em_data::{Dataset, EntityPair, TokenizedPair};
 use em_linalg::stats::sigmoid;
 
 /// A matcher wrapped with Platt scaling: `p' = σ(a·logit(p) + b)`.
@@ -34,10 +34,15 @@ impl<M: Matcher> CalibratedMatcher<M> {
         if calibration.is_empty() {
             return Err(crate::MatcherError::EmptyTrainingSet);
         }
-        let scores: Vec<f64> = calibration
+        let pairs: Vec<EntityPair> = calibration
             .examples()
             .iter()
-            .map(|ex| logit(inner.predict_proba(&ex.pair)))
+            .map(|ex| ex.pair.clone())
+            .collect();
+        let scores: Vec<f64> = inner
+            .predict_proba_batch(&pairs)
+            .into_iter()
+            .map(logit)
             .collect();
         let n_pos = calibration.match_count() as f64;
         let n_neg = calibration.len() as f64 - n_pos;
@@ -85,6 +90,11 @@ impl<M: Matcher> CalibratedMatcher<M> {
         })
     }
 
+    /// Platt-scale one raw probability of the inner model.
+    fn scale(&self, p: f64) -> f64 {
+        sigmoid(self.a * logit(p) + self.b)
+    }
+
     /// Fitted Platt parameters `(a, b)`.
     pub fn parameters(&self) -> (f64, f64) {
         (self.a, self.b)
@@ -102,7 +112,17 @@ impl<M: Matcher> Matcher for CalibratedMatcher<M> {
     }
 
     fn predict_proba(&self, pair: &EntityPair) -> f64 {
-        sigmoid(self.a * logit(self.inner.predict_proba(pair)) + self.b)
+        self.scale(self.inner.predict_proba(pair))
+    }
+
+    fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
+        let raw = self.inner.predict_proba_batch(pairs);
+        raw.into_iter().map(|p| self.scale(p)).collect()
+    }
+
+    fn predict_proba_masked(&self, tokenized: &TokenizedPair, masks: &[&[bool]]) -> Vec<f64> {
+        let raw = self.inner.predict_proba_masked(tokenized, masks);
+        raw.into_iter().map(|p| self.scale(p)).collect()
     }
 
     fn threshold(&self) -> f64 {
@@ -124,8 +144,10 @@ pub fn expected_calibration_error(
     let mut bin_conf = vec![0.0; bins];
     let mut bin_acc = vec![0.0; bins];
     let mut bin_n = vec![0usize; bins];
-    for ex in data.examples() {
-        let p = matcher.predict_proba(&ex.pair).clamp(0.0, 1.0);
+    let pairs: Vec<EntityPair> = data.examples().iter().map(|ex| ex.pair.clone()).collect();
+    let probs = matcher.predict_proba_batch(&pairs);
+    for (ex, &p) in data.examples().iter().zip(&probs) {
+        let p = p.clamp(0.0, 1.0);
         let b = ((p * bins as f64) as usize).min(bins - 1);
         bin_conf[b] += p;
         bin_acc[b] += ex.label.as_f64();

@@ -4,7 +4,7 @@
 //! which is closer to the production stacks EM explainers face.
 
 use crate::matcher::{best_f1_threshold, Matcher};
-use em_data::{Dataset, EntityPair};
+use em_data::{Dataset, EntityPair, TokenizedPair};
 use std::sync::Arc;
 
 /// A weighted soft-voting ensemble.
@@ -51,11 +51,12 @@ impl EnsembleMatcher {
         if validation.is_empty() {
             return;
         }
-        let scores: Vec<f64> = validation
+        let pairs: Vec<EntityPair> = validation
             .examples()
             .iter()
-            .map(|ex| self.predict_proba(&ex.pair))
+            .map(|ex| ex.pair.clone())
             .collect();
+        let scores = self.predict_proba_batch(&pairs);
         let labels: Vec<bool> = validation
             .examples()
             .iter()
@@ -72,6 +73,25 @@ impl EnsembleMatcher {
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
+
+    /// Combine per-member probability vectors (one per member, in member
+    /// order, each one entry per pair) exactly as
+    /// [`Matcher::predict_proba`] combines scalars.
+    fn combine(&self, per_member: &[Vec<f64>]) -> Vec<f64> {
+        let weight_sum: f64 = self.members.iter().map(|(_, w)| w).sum();
+        let n = per_member.first().map_or(0, Vec::len);
+        (0..n)
+            .map(|i| {
+                let score: f64 = self
+                    .members
+                    .iter()
+                    .zip(per_member)
+                    .map(|((_, w), probs)| w * probs[i])
+                    .sum();
+                score / weight_sum
+            })
+            .collect()
+    }
 }
 
 impl Matcher for EnsembleMatcher {
@@ -87,6 +107,24 @@ impl Matcher for EnsembleMatcher {
             .map(|(m, w)| w * m.predict_proba(pair))
             .sum();
         score / weight_sum
+    }
+
+    fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
+        let per_member: Vec<Vec<f64>> = self
+            .members
+            .iter()
+            .map(|(m, _)| m.predict_proba_batch(pairs))
+            .collect();
+        self.combine(&per_member)
+    }
+
+    fn predict_proba_masked(&self, tokenized: &TokenizedPair, masks: &[&[bool]]) -> Vec<f64> {
+        let per_member: Vec<Vec<f64>> = self
+            .members
+            .iter()
+            .map(|(m, _)| m.predict_proba_masked(tokenized, masks))
+            .collect();
+        self.combine(&per_member)
     }
 
     fn threshold(&self) -> f64 {

@@ -7,7 +7,7 @@
 //! feature table that makes the logistic/MLP matchers competitive while
 //! remaining fully word-sensitive: dropping a word changes the features.
 
-use em_data::{Dataset, EntityPair};
+use em_data::{intern_pair_cells, Dataset, EntityPair, MaskCellResolver, TokenizedPair};
 use em_text::{IdMap, JaroWinklerCache, SparseVec, TfIdf, TokenArena};
 
 /// A fitted feature extractor (holds the TF-IDF vocabulary of the corpus).
@@ -40,6 +40,8 @@ pub struct ExtractScratch {
     /// Record view (tuple of interned cell ids) → index into `records`.
     record_ids: IdMap<Vec<u32>, u32>,
     records: Vec<RecordFeatures>,
+    /// Mask → cell ids for [`FeatureExtractor::extract_masked_into`].
+    resolver: MaskCellResolver,
     key_l: Vec<u32>,
     key_r: Vec<u32>,
     cols_scratch: Vec<u32>,
@@ -171,8 +173,19 @@ impl FeatureExtractor {
         scratch: &mut ExtractScratch,
         out: &mut Vec<f64>,
     ) {
-        scratch.clear();
         out.clear();
+        self.append_rows(pairs.iter(), scratch, out);
+    }
+
+    /// Append the rows of borrowed `pairs` to `out` through the interned
+    /// caches, which start empty (the scratch is cleared first).
+    fn append_rows<'p>(
+        &self,
+        pairs: impl ExactSizeIterator<Item = &'p EntityPair>,
+        scratch: &mut ExtractScratch,
+        out: &mut Vec<f64>,
+    ) {
+        scratch.clear();
         out.reserve(pairs.len() * self.dimensions());
         for pair in pairs {
             debug_assert_eq!(
@@ -180,43 +193,83 @@ impl FeatureExtractor {
                 self.n_attributes,
                 "schema size changed"
             );
-            let row_start = out.len();
             // Intern each record's cells exactly once; the attribute loop
-            // and the record-level features both read the cached ids
-            // (EntityPair guarantees record length == schema length).
-            scratch.key_l.clear();
-            scratch.key_r.clear();
-            for idx in 0..pair.left().len() {
-                let cid = scratch.arena.intern_cell(pair.left().value(idx));
-                scratch.key_l.push(cid);
-            }
-            for idx in 0..pair.right().len() {
-                let cid = scratch.arena.intern_cell(pair.right().value(idx));
-                scratch.key_r.push(cid);
-            }
-            for attr in 0..self.n_attributes.min(pair.schema().len()) {
-                let l = scratch.key_l[attr];
-                let r = scratch.key_r[attr];
-                let feats = if let Some(&f) = scratch.attr_cache.get(&(l, r)) {
-                    f
-                } else {
-                    let f =
-                        interned_attribute_features(&scratch.arena, &mut scratch.jw_cache, l, r);
-                    scratch.attr_cache.insert((l, r), f);
-                    f
-                };
-                out.extend_from_slice(&feats);
-            }
-            while out.len() - row_start < self.n_attributes * PER_ATTRIBUTE_FEATURES {
-                out.push(0.0);
-            }
-            let li = self.record_index(scratch, true);
-            let ri = self.record_index(scratch, false);
-            let (lrec, rrec) = (&scratch.records[li], &scratch.records[ri]);
-            out.push(em_text::sparse_dot(&lrec.tfidf, &rrec.tfidf));
-            out.push(em_text::jaccard_sorted_ids(&lrec.distinct, &rrec.distinct));
-            out.push(em_text::overlap_sorted_ids(&lrec.distinct, &rrec.distinct));
+            // and the record-level features both read the cached ids.
+            intern_pair_cells(
+                &mut scratch.arena,
+                pair,
+                &mut scratch.key_l,
+                &mut scratch.key_r,
+            );
+            self.push_row(scratch, out);
         }
+    }
+
+    /// Extract the rows of the pairs `tokenized` rebuilds under `masks`
+    /// (`true` = word kept) into `out`, bitwise-identical to
+    /// [`FeatureExtractor::extract_batch_into`] over those rebuilt pairs.
+    ///
+    /// The rebuilt pairs are never built: a [`MaskCellResolver`] maps
+    /// each mask's cells straight to arena cell ids, so a cell the batch
+    /// has seen costs one integer-keyed lookup, and only a new one is
+    /// joined and interned as text. The caches after the cell ids are
+    /// the ones [`FeatureExtractor::extract_batch_into`] uses.
+    ///
+    /// # Panics
+    /// Panics if a mask's length differs from `tokenized.len()`.
+    pub fn extract_masked_into(
+        &self,
+        tokenized: &TokenizedPair,
+        masks: &[&[bool]],
+        scratch: &mut ExtractScratch,
+        out: &mut Vec<f64>,
+    ) {
+        debug_assert_eq!(
+            tokenized.pair().schema().len(),
+            self.n_attributes,
+            "schema size changed"
+        );
+        scratch.clear();
+        out.clear();
+        out.reserve(masks.len() * self.dimensions());
+        scratch.resolver.begin(tokenized);
+        for mask in masks {
+            scratch.resolver.resolve(
+                tokenized,
+                mask,
+                &mut scratch.arena,
+                &mut scratch.key_l,
+                &mut scratch.key_r,
+            );
+            self.push_row(scratch, out);
+        }
+    }
+
+    /// Append the feature row of the pair whose interned cells are
+    /// `scratch.key_l` / `scratch.key_r`.
+    fn push_row(&self, scratch: &mut ExtractScratch, out: &mut Vec<f64>) {
+        let row_start = out.len();
+        for attr in 0..self.n_attributes.min(scratch.key_l.len()) {
+            let l = scratch.key_l[attr];
+            let r = scratch.key_r[attr];
+            let feats = if let Some(&f) = scratch.attr_cache.get(&(l, r)) {
+                f
+            } else {
+                let f = interned_attribute_features(&scratch.arena, &mut scratch.jw_cache, l, r);
+                scratch.attr_cache.insert((l, r), f);
+                f
+            };
+            out.extend_from_slice(&feats);
+        }
+        while out.len() - row_start < self.n_attributes * PER_ATTRIBUTE_FEATURES {
+            out.push(0.0);
+        }
+        let li = self.record_index(scratch, true);
+        let ri = self.record_index(scratch, false);
+        let (lrec, rrec) = (&scratch.records[li], &scratch.records[ri]);
+        out.push(em_text::sparse_dot(&lrec.tfidf, &rrec.tfidf));
+        out.push(em_text::jaccard_sorted_ids(&lrec.distinct, &rrec.distinct));
+        out.push(em_text::overlap_sorted_ids(&lrec.distinct, &rrec.distinct));
     }
 
     /// Return the index of a record's cached whole-record features,
@@ -273,15 +326,18 @@ impl FeatureExtractor {
         idx
     }
 
-    /// Extract features for every pair of a dataset along with labels.
+    /// Extract features for every pair of a dataset along with labels,
+    /// through the interned batch path (bitwise-equal to stacking
+    /// [`FeatureExtractor::extract`] rows).
     pub fn extract_dataset(&self, data: &Dataset) -> (em_linalg::Matrix, Vec<f64>) {
-        let rows: Vec<Vec<f64>> = data
-            .examples()
-            .iter()
-            .map(|ex| self.extract(&ex.pair))
-            .collect();
+        let mut buf = Vec::with_capacity(data.len() * self.dimensions());
+        let pairs = data.examples().iter().map(|ex| &ex.pair);
+        self.append_rows(pairs, &mut ExtractScratch::default(), &mut buf);
         let y: Vec<f64> = data.examples().iter().map(|ex| ex.label.as_f64()).collect();
-        (em_linalg::Matrix::from_rows(&rows), y)
+        (
+            em_linalg::Matrix::from_vec(data.len(), self.dimensions(), buf),
+            y,
+        )
     }
 }
 

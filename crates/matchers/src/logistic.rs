@@ -3,7 +3,7 @@
 use crate::features::{BatchScratch, FeatureExtractor};
 use crate::matcher::{best_f1_threshold, Matcher};
 use crate::scratch::ScratchPool;
-use em_data::{Dataset, EntityPair};
+use em_data::{Dataset, EntityPair, TokenizedPair};
 use em_linalg::stats::sigmoid;
 use em_rngs::rngs::StdRng;
 use em_rngs::seq::SliceRandom;
@@ -150,11 +150,10 @@ impl LogisticMatcher {
         &self.weights
     }
 
-    fn batch_with_scratch(&self, pairs: &[EntityPair], scratch: &mut BatchScratch) -> Vec<f64> {
-        self.extractor
-            .extract_batch_into(pairs, &mut scratch.extract, &mut scratch.features);
-        scratch
-            .features
+    /// `sigmoid(dot(weights, row) + bias)` per row of extracted
+    /// features — the scalar path's kernel and accumulation order.
+    fn score_rows(&self, features: &[f64]) -> Vec<f64> {
+        features
             .chunks_exact(self.extractor.dimensions())
             .map(|row| sigmoid(em_linalg::dot(&self.weights, row) + self.bias))
             .collect()
@@ -196,7 +195,21 @@ impl Matcher for LogisticMatcher {
     /// the same values.
     fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
         let mut s = self.scratch.take();
-        let out = self.batch_with_scratch(pairs, &mut s);
+        self.extractor
+            .extract_batch_into(pairs, &mut s.extract, &mut s.features);
+        let out = self.score_rows(&s.features);
+        self.scratch.put(s);
+        out
+    }
+
+    /// Feature rows straight from the masks
+    /// ([`FeatureExtractor::extract_masked_into`]), then the same
+    /// per-row kernel as [`Matcher::predict_proba_batch`].
+    fn predict_proba_masked(&self, tokenized: &TokenizedPair, masks: &[&[bool]]) -> Vec<f64> {
+        let mut s = self.scratch.take();
+        self.extractor
+            .extract_masked_into(tokenized, masks, &mut s.extract, &mut s.features);
+        let out = self.score_rows(&s.features);
         self.scratch.put(s);
         out
     }

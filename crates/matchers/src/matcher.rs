@@ -1,12 +1,16 @@
 //! The `Matcher` abstraction every explainer targets: a black box mapping
 //! a pair of entity descriptions to a match probability.
 
-use em_data::{Dataset, EntityPair, Label};
+use em_data::{Dataset, EntityPair, Label, MaskedPairBuffer, TokenizedPair};
 
 /// A (possibly trained) entity-matching model.
 ///
 /// Explainers only rely on [`Matcher::predict_proba`]; `Send + Sync` lets
-/// the perturbation engine fan queries out across threads.
+/// the perturbation engine fan queries out across threads. A matcher
+/// that wraps another (calibration, ensembles, adapters) must forward
+/// both batch methods, [`Matcher::predict_proba_batch`] and
+/// [`Matcher::predict_proba_masked`]; otherwise every batch through it
+/// falls back to the scalar or rebuilt-text path of its default.
 pub trait Matcher: Send + Sync {
     /// Human-readable model name for reports.
     fn name(&self) -> &str;
@@ -24,6 +28,26 @@ pub trait Matcher: Send + Sync {
     /// determinism contract.
     fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
         pairs.iter().map(|p| self.predict_proba(p)).collect()
+    }
+
+    /// Match probabilities for drop masks over one tokenized pair: for
+    /// each mask (`true` = word kept), the probability of the pair
+    /// [`TokenizedPair::apply_mask`] rebuilds from it. This is the call
+    /// the perturbation engine makes for every block of masks.
+    ///
+    /// The default rebuilds the pairs through a [`MaskedPairBuffer`] and
+    /// calls [`Matcher::predict_proba_batch`]. The built-in matchers
+    /// override it to resolve masked cells by their kept-word sets
+    /// ([`em_data::MaskCellResolver`]) instead of rebuilding every pair
+    /// and interning every cell value again. Overrides must return bitwise the values of the
+    /// default.
+    ///
+    /// # Panics
+    /// Panics if a mask's length differs from `tokenized.len()`.
+    fn predict_proba_masked(&self, tokenized: &TokenizedPair, masks: &[&[bool]]) -> Vec<f64> {
+        let mut buffer = MaskedPairBuffer::new(tokenized);
+        let pairs: Vec<EntityPair> = masks.iter().map(|m| buffer.apply(m).clone()).collect();
+        self.predict_proba_batch(&pairs)
     }
 
     /// Decision threshold (calibrated on validation data where available).

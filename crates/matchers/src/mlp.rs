@@ -8,7 +8,7 @@ use crate::features::{BatchScratch, FeatureExtractor};
 use crate::logistic::TrainOptions;
 use crate::matcher::{best_f1_threshold, Matcher};
 use crate::scratch::ScratchPool;
-use em_data::{Dataset, EntityPair};
+use em_data::{Dataset, EntityPair, TokenizedPair};
 use em_linalg::stats::sigmoid;
 use em_rngs::rngs::StdRng;
 use em_rngs::seq::SliceRandom;
@@ -254,14 +254,13 @@ impl MlpMatcher {
         })
     }
 
-    fn batch_with_scratch(&self, pairs: &[EntityPair], scratch: &mut BatchScratch) -> Vec<f64> {
-        self.extractor
-            .extract_batch_into(pairs, &mut scratch.extract, &mut scratch.features);
+    /// The forward pass per row of extracted features, reusing the
+    /// activation buffers across rows.
+    fn score_rows(&self, features: &[f64]) -> Vec<f64> {
         let mut a1 = Vec::new();
         let mut a2 = Vec::new();
         let mut a3 = Vec::new();
-        scratch
-            .features
+        features
             .chunks_exact(self.extractor.dimensions())
             .map(|row| {
                 self.l1.forward(row, &mut a1);
@@ -338,7 +337,21 @@ impl Matcher for MlpMatcher {
     /// reproduces the scalar accumulation order exactly.
     fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
         let mut s = self.scratch.take();
-        let out = self.batch_with_scratch(pairs, &mut s);
+        self.extractor
+            .extract_batch_into(pairs, &mut s.extract, &mut s.features);
+        let out = self.score_rows(&s.features);
+        self.scratch.put(s);
+        out
+    }
+
+    /// Feature rows straight from the masks
+    /// ([`FeatureExtractor::extract_masked_into`]), then the same
+    /// per-row forward pass as [`Matcher::predict_proba_batch`].
+    fn predict_proba_masked(&self, tokenized: &TokenizedPair, masks: &[&[bool]]) -> Vec<f64> {
+        let mut s = self.scratch.take();
+        self.extractor
+            .extract_masked_into(tokenized, masks, &mut s.extract, &mut s.features);
+        let out = self.score_rows(&s.features);
         self.scratch.put(s);
         out
     }

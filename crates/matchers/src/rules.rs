@@ -5,7 +5,7 @@
 
 use crate::matcher::Matcher;
 use crate::scratch::ScratchPool;
-use em_data::EntityPair;
+use em_data::{intern_pair_cells, EntityPair, MaskCellResolver, TokenizedPair};
 use em_text::{IdMap, JaroWinklerCache, TokenArena};
 
 /// One rule: an attribute index, a weight and the similarity used.
@@ -39,6 +39,11 @@ struct RuleScratch {
     /// `(left cell, right cell)` → rule similarity; the similarity does
     /// not depend on the attribute, so the key omits it.
     sims: IdMap<(u32, u32), f64>,
+    /// Mask → cell ids for the masked batch path.
+    resolver: MaskCellResolver,
+    /// Interned cells of the pair being scored, by attribute.
+    key_l: Vec<u32>,
+    key_r: Vec<u32>,
 }
 
 impl Default for RuleScratch {
@@ -47,6 +52,9 @@ impl Default for RuleScratch {
             arena: TokenArena::without_grams(),
             jw_cache: JaroWinklerCache::new(),
             sims: IdMap::default(),
+            resolver: MaskCellResolver::new(),
+            key_l: Vec::new(),
+            key_r: Vec::new(),
         }
     }
 }
@@ -113,36 +121,41 @@ impl RuleMatcher {
         RuleMatcher::new(rules, threshold)
     }
 
-    /// Batch prediction through the interned caches of [`RuleScratch`]:
-    /// the same rules, skips and accumulation order as
-    /// [`Matcher::predict_proba`], with token Jaccard from
-    /// [`em_text::jaccard_sorted_ids`] and Monge-Elkan from the shared
-    /// [`JaroWinklerCache`] kernel — both bitwise-equal to their string
-    /// versions, so the scores are too.
+    /// Batch prediction through the interned caches of [`RuleScratch`].
     fn batch_with_scratch(&self, pairs: &[EntityPair], s: &mut RuleScratch) -> Vec<f64> {
         s.clear();
         let mut out = Vec::with_capacity(pairs.len());
         for pair in pairs {
-            let mut score = 0.0;
-            let mut weight_sum = 0.0;
-            for rule in &self.rules {
-                if rule.attribute >= pair.schema().len() {
-                    continue;
-                }
-                let l = s.arena.intern_cell(pair.left().value(rule.attribute));
-                let r = s.arena.intern_cell(pair.right().value(rule.attribute));
-                if let Some(sim) = s.similarity(l, r) {
-                    score += rule.weight * sim;
-                    weight_sum += rule.weight;
-                }
-            }
-            out.push(if weight_sum == 0.0 {
-                0.0
-            } else {
-                score / weight_sum
-            });
+            intern_pair_cells(&mut s.arena, pair, &mut s.key_l, &mut s.key_r);
+            out.push(self.score_cells(s));
         }
         out
+    }
+
+    /// The score of the pair whose interned cells are `s.key_l` /
+    /// `s.key_r`: the same rules, skips and accumulation order as
+    /// [`Matcher::predict_proba`], with token Jaccard from
+    /// [`em_text::jaccard_sorted_ids`] and Monge-Elkan from the shared
+    /// [`JaroWinklerCache`] kernel — both bitwise-equal to their string
+    /// versions, so the scores are too.
+    fn score_cells(&self, s: &mut RuleScratch) -> f64 {
+        let mut score = 0.0;
+        let mut weight_sum = 0.0;
+        for rule in &self.rules {
+            if rule.attribute >= s.key_l.len() {
+                continue;
+            }
+            let (l, r) = (s.key_l[rule.attribute], s.key_r[rule.attribute]);
+            if let Some(sim) = s.similarity(l, r) {
+                score += rule.weight * sim;
+                weight_sum += rule.weight;
+            }
+        }
+        if weight_sum == 0.0 {
+            0.0
+        } else {
+            score / weight_sum
+        }
     }
 }
 
@@ -181,6 +194,24 @@ impl Matcher for RuleMatcher {
     fn predict_proba_batch(&self, pairs: &[EntityPair]) -> Vec<f64> {
         let mut s = self.scratch.take();
         let out = self.batch_with_scratch(pairs, &mut s);
+        self.scratch.put(s);
+        out
+    }
+
+    /// Cell ids straight from the masks ([`MaskCellResolver`]), then the
+    /// same scoring as [`Matcher::predict_proba_batch`].
+    fn predict_proba_masked(&self, tokenized: &TokenizedPair, masks: &[&[bool]]) -> Vec<f64> {
+        let mut s = self.scratch.take();
+        s.clear();
+        s.resolver.begin(tokenized);
+        let out = masks
+            .iter()
+            .map(|mask| {
+                s.resolver
+                    .resolve(tokenized, mask, &mut s.arena, &mut s.key_l, &mut s.key_r);
+                self.score_cells(&mut s)
+            })
+            .collect();
         self.scratch.put(s);
         out
     }

@@ -339,6 +339,18 @@ EOF
     bench_gate "$baseline" results/BENCH_kernels_smoke.json 3.0 1e6
     rm -f "$baseline"
 
+    echo "==> bench smoke (perturbation --smoke) + regression gate"
+    # Mask sampling, the scalar rules query, and the perturbation engine
+    # on trained logistic/MLP matchers (the masked query path). The
+    # engine rows are sub-ms, so the floor sits at 0.2 ms rather than
+    # the kernels bench's 1 ms; smoke medians of those rows moved up to
+    # 1.8x between runs, inside the 3x threshold.
+    baseline=$(mktemp)
+    cp results/BENCH_perturbation_smoke.json "$baseline"
+    cargo bench --locked --offline -p em-bench --bench perturbation -- --smoke
+    bench_gate "$baseline" results/BENCH_perturbation_smoke.json 3.0 2e5
+    rm -f "$baseline"
+
     echo "==> bench smoke (ann --smoke) + regression gate"
     # The ann bench aborts itself if the benchmarked index drops below
     # 0.95 recall against exact top-k, so this leg also gates quality.
